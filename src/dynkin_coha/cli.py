@@ -39,6 +39,10 @@ def _resolve_quiver_path(name_or_path: str) -> str:
     return str(ref)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_quiver(name_or_path: str) -> tuple[Quiver, dict[int, int]]:
     path = _resolve_quiver_path(name_or_path)
     try:
@@ -52,8 +56,15 @@ def load_quiver(name_or_path: str) -> tuple[Quiver, dict[int, int]]:
         )
     if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
         raise InputError(f"{path}: expected an object with 'vertices' and 'edges'")
+    vertices, edges = raw["vertices"], raw["edges"]
+    if not _is_int(vertices):
+        raise InputError(f"{path}: 'vertices' must be an integer, got {vertices!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise InputError(f"{path}: 'edges' must be a list of [tail, head] integer pairs")
     try:
-        return validate_dynkin(raw["vertices"], raw["edges"])
+        return validate_dynkin(vertices, edges)
     except (NotATree, NotADE) as exc:
         raise InputError(f"{path}: {exc}")
 
@@ -203,7 +214,7 @@ def cmd_homtable(args) -> int:
 def cmd_qpoly(args) -> int:
     q, _ = load_quiver(args.quiver)
     m = _parse_vector(args.orbit, "--orbit")
-    result = coha.quiver_polynomial(q, m, threads=args.threads)
+    result = coha.quiver_polynomial(q, m)
     text = str(result.poly)
     _emit(args, [text], {"status": "ok", "gamma": list(result.gamma), "polynomial": text})
     return OK
@@ -218,7 +229,7 @@ def cmd_mul(args) -> int:
         f2 = coha.CohaElement(q, g2, _parse_polynomial(args.f2, "w"))
     except (ValueError, AssertionError) as exc:
         raise InputError(str(exc))
-    result = coha.shuffle_mul(f1, f2, threads=args.threads)
+    result = coha.shuffle_mul(f1, f2)
     text = str(result.poly)
     _emit(args, [text], {"status": "ok", "gamma": list(result.gamma), "polynomial": text})
     return OK
@@ -262,7 +273,7 @@ def cmd_residue_mul(args) -> int:
         raise InputError(f"TruncationTooLow: {exc}")
     except (ValueError, AssertionError) as exc:
         raise InputError(str(exc))
-    via_shuffle = coha.shuffle_mul(f1, f2, threads=args.threads)
+    via_shuffle = coha.shuffle_mul(f1, f2)
     match = via_residue.poly == via_shuffle.poly
     lines = [
         f"residue: {via_residue.poly}",
@@ -386,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for shuffle sums (results are identical for any value)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

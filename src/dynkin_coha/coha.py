@@ -18,7 +18,6 @@ point), and the graded rank comparison behind the subalgebra factorization.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -110,7 +109,7 @@ def _shuffle_term(q, f1, f2, gamma, assignment):
     return term * _difference_product(arrow_pairs)
 
 
-def shuffle_mul(f1: CohaElement, f2: CohaElement, threads: int = 1) -> CohaElement:
+def shuffle_mul(f1: CohaElement, f2: CohaElement) -> CohaElement:
     """Fixed-point shuffle product of two elements (same quiver)."""
     q = f1.quiver
     if f2.quiver != q:
@@ -121,17 +120,9 @@ def shuffle_mul(f1: CohaElement, f2: CohaElement, threads: int = 1) -> CohaEleme
     per_vertex = [
         list(combinations(range(1, gamma[i] + 1), g1[i])) for i in range(q.n)
     ]
-    assignments = list(product(*per_vertex))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(
-                pool.map(lambda s: _shuffle_term(q, f1, f2, gamma, s), assignments)
-            )
-    else:
-        terms = [_shuffle_term(q, f1, f2, gamma, s) for s in assignments]
     total = MPoly.zero()
-    for t in terms:
-        total = total + t
+    for s in product(*per_vertex):
+        total = total + _shuffle_term(q, f1, f2, gamma, s)
 
     for i in range(1, q.n + 1):
         for x, y in combinations(range(1, gamma[i - 1] + 1), 2):
@@ -145,16 +136,16 @@ def shuffle_mul(f1: CohaElement, f2: CohaElement, threads: int = 1) -> CohaEleme
     return result
 
 
-def multi_mul(q: Quiver, factors, threads: int = 1) -> CohaElement:
+def multi_mul(q: Quiver, factors) -> CohaElement:
     """Left-to-right iterated shuffle product; the empty product is the unit
     in weight zero."""
     result = one(q, zero_vector(q))
     for f in factors:
-        result = shuffle_mul(result, f, threads=threads)
+        result = shuffle_mul(result, f)
     return result
 
 
-def quiver_polynomial(q: Quiver, m, threads: int = 1) -> CohaElement:
+def quiver_polynomial(q: Quiver, m) -> CohaElement:
     """Equivariant class of the orbit closure named by the multiplicity
     vector: the ordered product of unit classes in weights m_u * beta_u."""
     rd = modrep.root_data(q)
@@ -162,7 +153,7 @@ def quiver_polynomial(q: Quiver, m, threads: int = 1) -> CohaElement:
     factors = [
         one(q, vec_scale(mu, beta)) for mu, beta in zip(m, rd.roots) if mu
     ]
-    result = multi_mul(q, factors, threads=threads)
+    result = multi_mul(q, factors)
     c = modrep.codim(q, m)
     assert not result.poly.is_zero(), "orbit class vanished"
     assert result.poly.homogeneous_degree() == c, "orbit class degree differs from the codimension"
@@ -262,11 +253,6 @@ def euler_class(q: Quiver, m) -> MPoly:
     return via_restriction
 
 
-def unit_slot(q: Quiver, root: DimVector) -> int:
-    """The fixed distinguished vertex of a root (smallest unit coordinate)."""
-    return choose_i(root)
-
-
 def factor_element(q: Quiver, root: DimVector, mult: int, poly: MPoly) -> CohaElement:
     """An element of weight mult*root whose polynomial only involves the
     distinguished-vertex slots w[i(root), 1..mult]."""
@@ -277,7 +263,7 @@ def factor_element(q: Quiver, root: DimVector, mult: int, poly: MPoly) -> CohaEl
     return CohaElement(q, vec_scale(mult, root), poly)
 
 
-def structure_factor_image(q: Quiver, m, factors, threads: int = 1) -> MPoly:
+def structure_factor_image(q: Quiver, m, factors) -> MPoly:
     """Restriction of the ordered product of one-vertex factors onto the
     orbit, verified against the direct product of the factors (in copy
     variables) with the Euler class."""
@@ -300,7 +286,7 @@ def structure_factor_image(q: Quiver, m, factors, threads: int = 1) -> MPoly:
         direct = direct * f.rename(
             {w(i, j): u(uidx, j) for j in range(1, mu + 1)}
         )
-    image = restriction(q, m, multi_mul(q, elements, threads=threads))
+    image = restriction(q, m, multi_mul(q, elements))
     expected = direct * euler_class(q, m)
     assert image == expected, "factor image does not split off the Euler class"
     return image
@@ -380,9 +366,7 @@ class StructureRow:
         return self.product_count == self.product_rank == self.algebra_dimension
 
 
-def structure_rank_check(
-    q: Quiver, gamma, degree_cap: int, threads: int = 1
-) -> list[StructureRow]:
+def structure_rank_check(q: Quiver, gamma, degree_cap: int) -> list[StructureRow]:
     """Graded comparison of the span of ordered one-vertex-factor products
     against the full weight-gamma piece.
 
@@ -433,7 +417,7 @@ def structure_rank_check(
                         factor_element(q, rd.roots[uu], m[uu], f)
                         for uu, f in zip(active, combo)
                     ]
-                    result = multi_mul(q, elements, threads=threads)
+                    result = multi_mul(q, elements)
                     products_by_degree[k].append(result.poly)
 
     rows = []

@@ -36,15 +36,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return tuple(() for _ in a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def _integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
@@ -126,8 +117,3 @@ def inverse(rows) -> Matrix:
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in red)
-
-
-def kernel_dim(rows, ncols: int) -> int:
-    """Dimension of the solution space of (rows) x = 0 in ncols unknowns."""
-    return ncols - rank(rows)

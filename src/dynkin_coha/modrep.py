@@ -11,9 +11,18 @@ reflection functors on explicit matrices.  Every construction is verified to
 have one-dimensional endomorphism ring and no self-extensions before it is
 returned, so the construction certifies itself.
 
-Hom dimensions are kernel dimensions of the intertwiner system
-psi_head . M_a = N_a . psi_tail over all edges, computed by fraction-free
-elimination.  Ext is Hom minus the Euler form.
+The Hom/Ext tables of the root data come from the Euler form alone.  The
+path algebra of a Dynkin quiver is representation-directed: for
+indecomposables X and Y at most one of Hom(X, Y) and Ext(X, Y) is nonzero
+(Assem-Simson-Skowronski, Elements of the Representation Theory of
+Associative Algebras I, ch. IX), so hom = max(<a, b>, 0) and
+ext = max(-<a, b>, 0).  Explicit modules are built only where a
+distinguished point needs matrices.
+
+hom_dim computes Hom independently, as the kernel dimension of the
+intertwiner system psi_head . M_a = N_a . psi_tail over all edges by
+fraction-free elimination; the verifiers and tests check the closed-form
+tables against it.  Ext is Hom minus the Euler form.
 """
 
 from __future__ import annotations
@@ -158,7 +167,7 @@ def indecomposable(q: Quiver, beta: DimVector) -> Representation:
     """The indecomposable representation with dimension vector beta.
 
     beta must be a positive root.  The result is verified: End is
-    one-dimensional and self-Ext vanishes.
+    one-dimensional, so self-Ext = End - <beta, beta> = 1 - 1 vanishes.
     """
     beta = check_dim_vector(q, beta)
     if euler_form(q, beta, beta) != 1:
@@ -186,7 +195,7 @@ def indecomposable(q: Quiver, beta: DimVector) -> Representation:
         assert rep.quiver == quivers[k]
     if rep.dims != beta:
         raise ConstructionFailed(f"built dimension {rep.dims}, expected {beta}")
-    if hom_dim(rep, rep) != 1 or ext_dim(rep, rep) != 0:
+    if hom_dim(rep, rep) != 1:
         raise ConstructionFailed(f"verification failed for root {beta}")
     return rep
 
@@ -234,12 +243,11 @@ def ext_dim(m: Representation, n: Representation) -> int:
 
 @dataclass(frozen=True)
 class RootData:
-    """Positive roots in admissible order with their indecomposables and the
-    pairwise hom/ext tables."""
+    """Positive roots in admissible order with the pairwise hom/ext tables of
+    their indecomposables."""
 
     quiver: Quiver
     roots: tuple[DimVector, ...]
-    reps: tuple[Representation, ...]
     hom: tuple[tuple[int, ...], ...]
     ext: tuple[tuple[int, ...], ...]
 
@@ -257,18 +265,15 @@ class RootData:
 @lru_cache(maxsize=None)
 def root_data(q: Quiver) -> RootData:
     base = positive_roots(q)
-    reps = [indecomposable(q, b) for b in base]
-    hom = [[hom_dim(a, b) for b in reps] for a in reps]
-    ext = [[hom[x][y] - euler_form(q, base[x], base[y]) for y in range(len(base))]
-           for x in range(len(base))]
-    assert all(v >= 0 for row in ext for v in row)
+    chi = [[euler_form(q, a, b) for b in base] for a in base]
+    hom = [[max(c, 0) for c in row] for row in chi]
+    ext = [[max(-c, 0) for c in row] for row in chi]
     ordered = admissible_root_order(q, base, hom, ext)
     index = {b: k for k, b in enumerate(base)}
     pos = [index[b] for b in ordered]
     return RootData(
         quiver=q,
         roots=tuple(ordered),
-        reps=tuple(reps[k] for k in pos),
         hom=tuple(tuple(hom[x][y] for y in pos) for x in pos),
         ext=tuple(tuple(ext[x][y] for y in pos) for x in pos),
     )
@@ -393,7 +398,9 @@ def generic_point(q: Quiver, m) -> Representation:
     for e, (t, h) in enumerate(q.edges):
         block = [[Fraction(0)] * gamma[t - 1] for _ in range(gamma[h - 1])]
         for u, mu in enumerate(m):
-            sub = rd.reps[u].maps[e]
+            if not mu:
+                continue
+            sub = indecomposable(q, rd.roots[u]).maps[e]
             for v in range(1, mu + 1):
                 r0 = starts[h - 1][(u + 1, v)]
                 c0 = starts[t - 1][(u + 1, v)]

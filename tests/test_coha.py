@@ -230,10 +230,3 @@ def test_grading_law_random(a3):
         if not p.poly.is_zero():
             assert p.poly.homogeneous_degree() == -euler_form(a3, g1, g2)
 
-
-def test_threads_do_not_change_results(a2):
-    f1 = coha.CohaElement(a2, (1, 1), MPoly.var(w(1, 1)) + MPoly.var(w(2, 1)))
-    f2 = coha.one(a2, (1, 1))
-    sequential = coha.shuffle_mul(f1, f2, threads=1)
-    parallel = coha.shuffle_mul(f1, f2, threads=4)
-    assert sequential.poly == parallel.poly

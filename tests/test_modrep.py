@@ -1,14 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from dynkin_coha import modrep
-from dynkin_coha.quiver import euler_form
+from dynkin_coha import linalg, modrep
+from dynkin_coha.quiver import euler_form, validate_dynkin
 from dynkin_coha.roots import positive_roots
 
-from conftest import load_quiver
+from conftest import QUIVER_DIR, load_quiver
 
 
 def gamma_range(n, max_total):
@@ -77,18 +78,64 @@ def test_ext_hand_values(a2):
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4"])
 def test_end_is_one_dimensional(name):
     q = load_quiver(name)
-    for rep in modrep.root_data(q).reps:
+    for b in modrep.root_data(q).roots:
+        rep = modrep.indecomposable(q, b)
         assert modrep.hom_dim(rep, rep) == 1
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4"])
+def assert_tables_match_kernels(q, pairs):
+    # the closed-form tables against the intertwiner-kernel route; ext is
+    # ext_dim's formula, which would otherwise solve the same system twice
+    rd = modrep.root_data(q)
+    for x, y in pairs:
+        a = modrep.indecomposable(q, rd.roots[x])
+        b = modrep.indecomposable(q, rd.roots[y])
+        hom = modrep.hom_dim(a, b)
+        assert rd.hom[x][y] == hom
+        assert rd.ext[x][y] == hom - euler_form(q, a.dims, b.dims)
+
+
+BUNDLED = sorted(p.stem for p in QUIVER_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED if n != "e8"])
 def test_euler_form_is_hom_minus_ext(name):
     q = load_quiver(name)
-    rd = modrep.root_data(q)
-    for x in range(rd.count):
-        for y in range(rd.count):
-            chi = euler_form(q, rd.roots[x], rd.roots[y])
-            assert rd.hom[x][y] - rd.ext[x][y] == chi
+    count = modrep.root_data(q).count
+    assert_tables_match_kernels(q, product(range(count), repeat=2))
+
+
+def test_euler_form_is_hom_minus_ext_e8_sampled():
+    q = load_quiver("e8")
+    count = modrep.root_data(q).count
+    rng = random.Random(5)
+    pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(30)]
+    assert_tables_match_kernels(q, pairs)
+
+
+@pytest.mark.parametrize("name,seed", [("d5", 1), ("d5", 2), ("e6", 1), ("e6", 2)])
+def test_euler_form_is_hom_minus_ext_reoriented(name, seed):
+    data = json.loads((QUIVER_DIR / f"{name}.json").read_text())
+    rng = random.Random(seed)
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in data["edges"]]
+    q, _ = validate_dynkin(data["vertices"], edges)
+    count = modrep.root_data(q).count
+    assert_tables_match_kernels(q, product(range(count), repeat=2))
+
+
+def test_root_data_needs_no_linear_algebra(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("root data must not solve linear systems")
+
+    monkeypatch.setattr(modrep, "hom_dim", forbidden)
+    monkeypatch.setattr(linalg, "rank", forbidden)
+    monkeypatch.setattr(modrep, "indecomposable", forbidden)
+    q = load_quiver("e8")
+    modrep.root_data.cache_clear()
+    try:
+        assert modrep.root_data(q).count == 120
+    finally:
+        modrep.root_data.cache_clear()
 
 
 def test_ext_bilinear_under_direct_sum(a3):
@@ -96,7 +143,9 @@ def test_ext_bilinear_under_direct_sum(a3):
     rng = random.Random(9)
     for _ in range(10):
         picks = [rng.randrange(rd.count) for _ in range(rng.randint(1, 3))]
-        total = modrep.direct_sum(a3, [rd.reps[k] for k in picks])
+        total = modrep.direct_sum(
+            a3, [modrep.indecomposable(a3, rd.roots[k]) for k in picks]
+        )
         expected = sum(
             rd.ext[x][y] for x in picks for y in picks
         )
@@ -145,7 +194,7 @@ def test_generic_point_single_root_is_indecomposable(a3):
     rd = modrep.root_data(a3)
     for u in range(rd.count):
         m = tuple(1 if v == u else 0 for v in range(rd.count))
-        assert modrep.generic_point(a3, m) == rd.reps[u]
+        assert modrep.generic_point(a3, m) == modrep.indecomposable(a3, rd.roots[u])
 
 
 def test_generic_point_endomorphism_count(a3):

@@ -95,15 +95,17 @@ def test_first_root_has_no_incoming_ext():
     for name in ["a2", "a3", "d4"]:
         q = load_quiver(name)
         rd = modrep.root_data(q)
-        first = rd.reps[0]
-        for other in rd.reps:
+        reps = [modrep.indecomposable(q, b) for b in rd.roots]
+        first = reps[0]
+        for other in reps:
             assert modrep.ext_dim(other, first) == 0 or other is first
 
 
 def test_roots_have_dense_orbits():
     for name in ["a3", "d4"]:
         q = load_quiver(name)
-        for rep in modrep.root_data(q).reps:
+        for b in modrep.root_data(q).roots:
+            rep = modrep.indecomposable(q, b)
             assert modrep.ext_dim(rep, rep) == 0
 
 
