@@ -50,6 +50,7 @@ from .qalg import (
 )
 from .polyblock import MPoly, NotDivisible, Var, exact_div_linear, symmetrize_check
 from .coha import (
+    CheckFailed,
     CohaElement,
     euler_class,
     euler_class_from_weights,

@@ -227,7 +227,7 @@ def cmd_mul(args) -> int:
     try:
         f1 = coha.CohaElement(q, g1, _parse_polynomial(args.f1, "w"))
         f2 = coha.CohaElement(q, g2, _parse_polynomial(args.f2, "w"))
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, coha.CheckFailed) as exc:
         raise InputError(str(exc))
     result = coha.shuffle_mul(f1, f2)
     text = str(result.poly)
@@ -242,7 +242,7 @@ def cmd_restrict(args) -> int:
     gamma = rd.module_dims(modrep.check_module_type(rd, m))
     try:
         f = coha.CohaElement(q, gamma, _parse_polynomial(args.f, "w"))
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, coha.CheckFailed) as exc:
         raise InputError(str(exc))
     image = coha.restriction(q, m, f)
     text = str(image)
@@ -271,7 +271,7 @@ def cmd_residue_mul(args) -> int:
         via_residue = residue.residue_mul(q, g, f2, g1, g2, budget=args.budget)
     except residue.TruncationTooLow as exc:
         raise InputError(f"TruncationTooLow: {exc}")
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, coha.CheckFailed) as exc:
         raise InputError(str(exc))
     via_shuffle = coha.shuffle_mul(f1, f2)
     match = via_residue.poly == via_shuffle.poly

@@ -12,6 +12,7 @@ equal polynomials always print identically, e.g. ``w[1,1] - w[2,1]``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -51,6 +52,28 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _split_adjacent(m: Mono, a: Var, b: Var) -> tuple[Mono, int, int, Mono]:
+    """(head, exponent of a, exponent of b, tail) of a monomial, for the
+    adjacent slots a = (kind, i, j) and b = (kind, i, j+1).
+
+    No variable sorts between a and b, so head + _adjacent(a, ea, b, eb) +
+    tail is sorted for any exponents ea, eb.
+    """
+    end = pos = bisect_left(m, (a,))
+    ea = eb = 0
+    if end < len(m) and m[end][0] == a:
+        ea = m[end][1]
+        end += 1
+    if end < len(m) and m[end][0] == b:
+        eb = m[end][1]
+        end += 1
+    return m[:pos], ea, eb, m[end:]
+
+
+def _adjacent(a: Var, ea: int, b: Var, eb: int) -> Mono:
+    return (((a, ea),) if ea else ()) + (((b, eb),) if eb else ())
 
 
 def _mono_degree(m: Mono) -> int:
@@ -245,9 +268,12 @@ def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
 def symmetrize_check(p: MPoly, kind: str, sizes: Iterable[int]) -> bool:
     """True iff p is invariant under every adjacent swap of same-block
     variables (kind, i, j) <-> (kind, i, j+1), blocks sized by sizes."""
+    terms = p.terms
     for i, size in enumerate(sizes, start=1):
         for j in range(1, size):
             a, b = Var(kind, i, j), Var(kind, i, j + 1)
-            if p.rename({a: b, b: a}) != p:
-                return False
+            for m, c in terms.items():
+                head, ea, eb, tail = _split_adjacent(m, a, b)
+                if ea != eb and terms.get(head + _adjacent(a, eb, b, ea) + tail) != c:
+                    return False
     return True

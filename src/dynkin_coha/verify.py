@@ -97,7 +97,7 @@ def verify_quiver_polynomials(q: Quiver, max_total: int) -> VerifyResult:
                 qp = coha.quiver_polynomial(q, m)
                 via_restriction = coha.restriction(q, m, qp)
                 via_weights = coha.euler_class_from_weights(q, m)
-            except AssertionError as exc:
+            except (coha.CheckFailed, AssertionError) as exc:
                 return VerifyResult(
                     "orbit-classes", False, checked, f"m={m} of gamma={gamma}: {exc}"
                 )
@@ -161,7 +161,7 @@ def verify_euler_factorization(q: Quiver, trials: int, seed: int = 7) -> VerifyR
         checked += 1
         try:
             coha.structure_factor_image(q, m, factors)
-        except AssertionError as exc:
+        except (coha.CheckFailed, AssertionError) as exc:
             return VerifyResult(
                 "euler-factorization", False, checked, f"m={m} of gamma={gamma}: {exc}"
             )
@@ -269,7 +269,7 @@ def verify_engine_properties(
                 "engine-properties", False, checked,
                 f"associativity fails at weights {g1},{g2},{g3}",
             )
-        # grading and block symmetry are asserted inside shuffle_mul; exercise
+        # grading and block symmetry are checked inside shuffle_mul; exercise
         # one more product to cover the homogeneous branch
         p = coha.shuffle_mul(coha.one(q, g1), coha.one(q, g2))
         if not p.poly.is_zero() and p.poly.homogeneous_degree() is None:

@@ -8,9 +8,10 @@ import pytest
 QUIVER_DIR = Path(__file__).resolve().parents[1] / "src/dynkin_coha/data/quivers"
 
 
-def run_cli(*args):
+def run_cli(*args, optimize=False):
+    flags = ["-O"] if optimize else []
     return subprocess.run(
-        [sys.executable, "-m", "dynkin_coha", *args],
+        [sys.executable, *flags, "-m", "dynkin_coha", *args],
         capture_output=True,
         text=True,
     )
@@ -91,6 +92,48 @@ def test_residue_mul_command():
     assert lines[0] == "residue: w[1,1] - w[2,1]"
     assert lines[1] == "shuffle: w[1,1] - w[2,1]"
     assert lines[2] == "match: yes"
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_non_symmetric_mul_exits_two(optimize):
+    # block symmetry is checked by code that python -O keeps
+    result = run_cli(
+        "mul", "--quiver", "a2", "--gamma1", "2,0", "--gamma2", "1,0",
+        "--f1", "w[1,1]^2", "--f2", "1", optimize=optimize,
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: element is not block-symmetric\n"
+    assert result.stdout == ""
+
+
+def test_verify_all_passes_under_optimize():
+    result = run_cli("verify-all", optimize=True)
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "PASS"
+
+
+PLANTED_EULER_DEFECT = """
+import sys
+from dynkin_coha import coha, verify
+from dynkin_coha.cli import load_quiver
+honest = coha.euler_class
+coha.euler_class = lambda q, m: honest(q, m) * 2
+result = verify.verify_euler_factorization(load_quiver("a2")[0], 3)
+print(sys.flags.optimize, result.status(), result.counterexample)
+"""
+
+
+def test_planted_defect_fails_under_optimize():
+    # a doubled Euler class must break the factor-image split even when
+    # assert statements are stripped
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_EULER_DEFECT],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1 FAIL ")
+    assert "factor image does not split off the Euler class" in result.stdout
 
 
 def test_verify_reineke_pass_exit_zero():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynkin_coha.polyblock import (
     MPoly,
@@ -82,6 +83,43 @@ def test_exact_div_inverts_multiplication():
         p = rand_poly(rng, vs)
         shifted = p * (MPoly.var(x) - MPoly.var(y))
         assert exact_div_linear(shifted, x, y) == p
+
+
+SLOTS = [w(1, 1), w(1, 2), w(1, 3), w(2, 1)]
+
+polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in SLOTS)),
+    st.integers(-4, 4),
+    max_size=6,
+).map(lambda d: MPoly({
+    tuple((v, e) for v, e in zip(SLOTS, exps) if e): Fraction(c)
+    for exps, c in d.items()
+}))
+slot_pairs = st.permutations(SLOTS).map(lambda vs: (vs[0], vs[1]))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(polys, slot_pairs)
+def test_exact_div_round_trips_and_refuses_non_multiples(p, pair):
+    a, b = pair
+    assert exact_div_linear(p * (MPoly.var(a) - MPoly.var(b)), a, b) == p
+    # p is a multiple of a - b exactly when p vanishes at a = b
+    if p.rename({a: b}).is_zero():
+        assert exact_div_linear(p, a, b) * (MPoly.var(a) - MPoly.var(b)) == p
+    else:
+        with pytest.raises(NotDivisible):
+            exact_div_linear(p, a, b)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(polys)
+def test_symmetrize_check_matches_swapping(p):
+    swapped = [
+        p.rename({a: b, b: a}) == p
+        for a, b in [(w(1, 1), w(1, 2)), (w(1, 2), w(1, 3))]
+    ]
+    assert symmetrize_check(p, "w", (3, 1)) == all(swapped)
+    assert symmetrize_check(p + p.rename({w(1, 1): w(1, 2), w(1, 2): w(1, 1)}), "w", (2,))
 
 
 def test_symmetrize_check_examples():
