@@ -1,6 +1,7 @@
 """Exact computations in the cohomological Hall algebra of an ADE quiver."""
 
 from .quiver import (
+    CheckFailed,
     NotADE,
     NotATree,
     Quiver,
@@ -50,7 +51,6 @@ from .qalg import (
 )
 from .polyblock import MPoly, NotDivisible, Var, exact_div_linear, symmetrize_check
 from .coha import (
-    CheckFailed,
     CohaElement,
     euler_class,
     euler_class_from_weights,

@@ -27,25 +27,18 @@ from itertools import permutations, product
 
 from . import linalg, modrep
 from .polyblock import MPoly, Var, _adjacent, _split_adjacent, symmetrize_check, w, u
-from .quiver import (
+from .quiver import (  # CheckFailed is re-exported as coha.CheckFailed
+    CheckFailed,
     DimVector,
     Quiver,
     check_dim_vector,
     euler_form,
+    require,
     vec_add,
     vec_scale,
     zero_vector,
 )
 from .roots import choose_i, positive_roots
-
-
-class CheckFailed(ArithmeticError):
-    """An identity the library checks on its own results did not hold."""
-
-
-def require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CheckFailed(msg)
 
 
 @dataclass(frozen=True)
@@ -306,7 +299,7 @@ def monomial_symmetric(vars_: list[Var], partition: tuple[int, ...]) -> MPoly:
         mono = tuple(
             sorted((v, e) for v, e in zip(vars_, perm) if e)
         )
-        out[mono] = Fraction(1)
+        out[mono] = 1
     return MPoly(out)
 
 

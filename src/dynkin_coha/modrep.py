@@ -38,6 +38,7 @@ from .quiver import (
     Quiver,
     check_dim_vector,
     euler_form,
+    require,
     simple_vector,
     vec_add,
     vec_scale,
@@ -342,7 +343,7 @@ def codim(q: Quiver, m) -> int:
                 continue
             by_ext += m[u] * m[v] * rd.ext[u][v]
             by_chi -= m[u] * m[v] * euler_form(q, rd.roots[u], rd.roots[v])
-    assert by_ext == by_chi, "admissible order violated in codimension formulas"
+    require(by_ext == by_chi, "admissible order violated in codimension formulas")
     return by_ext
 
 

@@ -1,10 +1,13 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with exact coefficients.
 
 A variable is a (kind, i, j) triple: kind "w" for universal Chern roots
 (vertex i, slot j), "u" for the restriction targets (root index i, copy j),
 and "a"/"b" for the ordered residue alphabets.  A monomial is a sorted tuple
 of (variable, positive exponent) pairs; a polynomial maps monomials to
-nonzero Fractions.  The zero polynomial has no terms.
+nonzero exact coefficients: plain ints, or Fractions where a rational
+coefficient is put in.  Every COHA class has integer coefficients, so that
+arithmetic stays in ints and never builds a Fraction.  The zero polynomial
+has no terms.
 
 Rendering is canonical (degree-major, then lexicographic on monomials) so
 equal polynomials always print identically, e.g. ``w[1,1] - w[2,1]``.
@@ -40,7 +43,15 @@ def u(i: int, j: int) -> Var:
 
 Mono = tuple[tuple[Var, int], ...]
 
-_ZERO = Fraction(0)
+
+def exact_coeff(c) -> int | Fraction:
+    """An exact coefficient: an int when the value is integral, else a
+    Fraction.  The one place that decides the coefficient type of `MPoly`
+    and `residue.LaurentPoly`."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -83,7 +94,7 @@ def _mono_degree(m: Mono) -> int:
 class MPoly:
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, terms: dict[Mono, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
@@ -92,7 +103,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        c = Fraction(c)
+        c = exact_coeff(c)
         return cls({(): c}) if c else cls()
 
     @classmethod
@@ -105,7 +116,7 @@ class MPoly:
             raise ValueError("negative exponent in a polynomial")
         if exp == 0:
             return cls.one()
-        return cls({((v, exp),): Fraction(1)})
+        return cls({((v, exp),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -119,7 +130,7 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
+            out[m] = out.get(m, 0) + c
         return MPoly(out)
 
     def __neg__(self) -> "MPoly":
@@ -130,13 +141,13 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
+            k = exact_coeff(other)
             return MPoly({m: k * c for m, c in self.terms.items()}) if k else MPoly()
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, _ZERO) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return MPoly(out)
 
     __rmul__ = __mul__
@@ -169,20 +180,20 @@ class MPoly:
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, _ZERO)
+    def coefficient(self, mono: Mono) -> int | Fraction:
+        return self.terms.get(mono, 0)
 
     def rename(self, mapping: dict[Var, Var]) -> "MPoly":
         """Substitute variables by variables (merging exponents on
         collisions)."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
             d: dict[Var, int] = {}
             for v, e in m:
                 nv = mapping.get(v, v)
                 d[nv] = d.get(nv, 0) + e
             key = tuple(sorted(d.items()))
-            out[key] = out.get(key, _ZERO) + c
+            out[key] = out.get(key, 0) + c
         return MPoly(out)
 
     def substitute(self, mapping: dict[Var, "MPoly"]) -> "MPoly":
@@ -235,7 +246,7 @@ def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
     if p.is_zero():
         return MPoly.zero()
     # split as a polynomial in a
-    raw: dict[int, dict[Mono, Fraction]] = {}
+    raw: dict[int, dict[Mono, int | Fraction]] = {}
     for m, c in p.terms.items():
         e = 0
         rest = []
@@ -246,7 +257,7 @@ def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
                 rest.append((v, k))
         d = raw.setdefault(e, {})
         key = tuple(rest)
-        d[key] = d.get(key, _ZERO) + c
+        d[key] = d.get(key, 0) + c
     by_exp = {e: MPoly(d) for e, d in raw.items()}
     top = max(by_exp)
     bpoly = MPoly.var(b)

@@ -8,7 +8,6 @@ explicit.  Errors report the 1-based column of the offending token.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .polyblock import MPoly, Var
 
@@ -107,7 +106,7 @@ def parse_poly(text: str, allowed_kinds: str = "wuab") -> MPoly:
     def parse_atom() -> MPoly:
         kind, value, col = advance()
         if kind == "int":
-            return MPoly.const(Fraction(value))
+            return MPoly.const(value)
         if kind == "var":
             if value.kind not in allowed_kinds:
                 raise PolyParseError(

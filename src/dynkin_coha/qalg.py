@@ -26,6 +26,7 @@ from .quiver import (
     Quiver,
     check_dim_vector,
     lambda_form,
+    require,
     simple_vector,
     vec_add,
     vec_leq,
@@ -106,10 +107,10 @@ def normal_form_exponent(q: Quiver, m) -> tuple[int, Fraction]:
     w2 = 0  # doubled exponent, always an integer
     gamma = letters[0]
     for letter in letters[1:]:
-        mono = mono_mul(q, gamma, letter)
+        # one generator product y_gamma y_letter, as in mono_mul
         sign = -sign
         w2 += lambda_form(q, gamma, letter)
-        gamma = mono.gamma
+        gamma = vec_add(gamma, letter)
     # convert y_gamma to the ordered simple word
     sign *= (-1) ** (sum(gamma) - 1)
     w2 -= _nf_weight_doubled(q, gamma)
@@ -117,7 +118,7 @@ def normal_form_exponent(q: Quiver, m) -> tuple[int, Fraction]:
     expected = (-1) ** sum(
         mu * (sum(beta) - 1) for mu, beta in zip(m, rd.roots)
     )
-    assert sign == expected, "sign disagrees with the closed formula"
+    require(sign == expected, "sign disagrees with the closed formula")
     return sign, Fraction(w2, 2)
 
 
@@ -180,16 +181,22 @@ class QAlgElement:
         return self.terms.get(tuple(gamma))
 
 
-def _dilog_coefficient_data(q: Quiver, gamma0: DimVector, n: int) -> tuple[int, int, tuple]:
-    """(sign, s-exponent, denominator factors 1-q^j for j<=n) of the n-th
-    dilogarithm term on the normal-form basis."""
-    sign = (-1) ** (n * sum(gamma0))
-    s_exp = n * n - _nf_weight_doubled(q, vec_scale(n, gamma0))
-    return sign, s_exp, tuple(range(1, n + 1))
-
-
-def _qrat_one_minus_q(j: int) -> QRat:
-    return QRat.one() - QRat.s_power(2 * j)
+def _dilog_terms(q: Quiver, gamma0, cap):
+    """(n * gamma0, sign, s-exponent, n) for every multiple n * gamma0 under
+    the componentwise cap: the n-th dilogarithm term on the normal-form basis
+    is sign * s^e / prod_{j<=n} (1 - q^j)."""
+    gamma0 = check_dim_vector(q, gamma0)
+    cap = check_dim_vector(q, cap)
+    if not any(gamma0):
+        raise ValueError("dilogarithm of the zero vector is not defined")
+    terms = []
+    n = 0
+    while vec_leq(vec_scale(n, gamma0), cap):
+        sign = (-1) ** (n * sum(gamma0))
+        s_exp = n * n - _nf_weight_doubled(q, vec_scale(n, gamma0))
+        terms.append((vec_scale(n, gamma0), sign, s_exp, n))
+        n += 1
+    return terms
 
 
 def dilog_series(q: Quiver, gamma0, cap) -> QAlgElement:
@@ -200,30 +207,34 @@ def dilog_series(q: Quiver, gamma0, cap) -> QAlgElement:
     n-th power of the generator; powers are rewritten on the normal-form
     basis.
     """
-    gamma0 = check_dim_vector(q, gamma0)
-    cap = check_dim_vector(q, cap)
-    if not any(gamma0):
-        raise ValueError("dilogarithm of the zero vector is not defined")
     terms: dict[DimVector, QRat] = {}
-    n = 0
-    while vec_leq(vec_scale(n, gamma0), cap):
-        sign, s_exp, dens = _dilog_coefficient_data(q, gamma0, n)
+    for gamma, sign, s_exp, n in _dilog_terms(q, gamma0, cap):
         coeff = QRat.s_power(s_exp)
         if sign < 0:
             coeff = -coeff
-        for j in dens:
-            coeff = coeff / _qrat_one_minus_q(j)
-        terms[vec_scale(n, gamma0)] = coeff
-        n += 1
+        for j in range(1, n + 1):
+            coeff = coeff / (QRat.one() - QRat.s_power(2 * j))
+        terms[gamma] = coeff
     return QAlgElement(q, terms)
 
 
 def dilog_series_truncated(q: Quiver, gamma0, cap, prec: int) -> QAlgElement:
-    """Same series with coefficients expanded as s-series to precision prec."""
-    exact = dilog_series(q, gamma0, cap)
-    return QAlgElement(
-        q, {g: QTruncSeries.from_qrat(c, prec) for g, c in exact.terms.items()}
-    )
+    """Same series with coefficients expanded as s-series to precision prec.
+
+    Each coefficient is expanded straight into integers: sign * s^e times
+    the series of partitions into parts of size at most n, one in-place pass
+    c[k] += c[k - 2j] per factor 1/(1 - q^j).  dilog_series, which builds the
+    exact rational functions, is the independent route the tests compare
+    this against.
+    """
+    terms: dict[DimVector, QTruncSeries] = {}
+    for gamma, sign, s_exp, n in _dilog_terms(q, gamma0, cap):
+        c = [sign] + [0] * (prec - s_exp) if s_exp <= prec else []
+        for j in range(1, n + 1):
+            for k in range(2 * j, len(c)):
+                c[k] += c[k - 2 * j]
+        terms[gamma] = QTruncSeries({s_exp + k: x for k, x in enumerate(c) if x}, prec)
+    return QAlgElement(q, terms)
 
 
 def reineke_identity_check(

@@ -2,9 +2,12 @@
 
 Everything is written in s with s^2 = q, so half-integer powers of q are
 integer powers of s and no fractional exponents ever appear.  Two views are
-provided: QRat, a reduced rational function in s with rational coefficients,
+provided: QRat, a reduced rational function in s with Fraction coefficients,
 and QTruncSeries, a truncated Laurent series that tracks its own precision so
 that arithmetic never pretends to know coefficients it has not computed.
+Series built directly, the classifying-space series and the truncated
+dilogarithm, hold plain int coefficients; QTruncSeries.from_qrat expands a
+QRat in Fractions.  Either kind compares equal term by term.
 
 The classifying-space series f_n (Poincare series of the n-th unitary
 classifying space in q) and the orbit-sum Betti identity live here as well.
@@ -253,7 +256,7 @@ class QTruncSeries:
 
     __slots__ = ("coeffs", "prec")
 
-    def __init__(self, coeffs: dict[int, Fraction], prec: int):
+    def __init__(self, coeffs: dict[int, int | Fraction], prec: int):
         self.coeffs = {k: v for k, v in coeffs.items() if v and k <= prec}
         self.prec = prec
 
@@ -263,11 +266,11 @@ class QTruncSeries:
 
     @classmethod
     def one(cls, prec: int) -> "QTruncSeries":
-        return cls({0: _ONE}, prec)
+        return cls({0: 1}, prec)
 
     @classmethod
     def s_power(cls, k: int, prec: int) -> "QTruncSeries":
-        return cls({k: _ONE}, prec)
+        return cls({k: 1}, prec)
 
     @classmethod
     def from_qrat(cls, qr: QRat, prec: int) -> "QTruncSeries":
@@ -285,11 +288,11 @@ class QTruncSeries:
         inv0 = 1 / den[0]
         inv = [inv0]
         for k in range(1, terms):
-            acc = _ZERO
+            acc = 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc += den[j] * inv[k - j]
             inv.append(-acc * inv0)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for i, x in enumerate(num):
             if not x:
                 continue
@@ -297,7 +300,7 @@ class QTruncSeries:
                 c = x * inv[k]
                 if c:
                     key = shift + i + k
-                    out[key] = out.get(key, _ZERO) + c
+                    out[key] = out.get(key, 0) + c
         return cls(out, prec)
 
     def valuation(self) -> int:
@@ -309,7 +312,7 @@ class QTruncSeries:
         prec = min(self.prec, other.prec)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, _ZERO) + v
+            out[k] = out.get(k, 0) + v
         return QTruncSeries(out, prec)
 
     def __neg__(self) -> "QTruncSeries":
@@ -323,12 +326,12 @@ class QTruncSeries:
             self.prec + other.valuation(),
             other.prec + self.valuation(),
         )
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 if k <= prec:
-                    out[k] = out.get(k, _ZERO) + v1 * v2
+                    out[k] = out.get(k, 0) + v1 * v2
         return QTruncSeries(out, prec)
 
     def shift_q(self, e: int) -> "QTruncSeries":
@@ -339,11 +342,11 @@ class QTruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient_q(self, e: int) -> Fraction:
+    def coefficient_q(self, e: int) -> int | Fraction:
         """Coefficient of q^e (integer e), which must lie inside the window."""
         if 2 * e > self.prec:
             raise ValueError(f"coefficient of q^{e} beyond precision")
-        return self.coeffs.get(2 * e, _ZERO)
+        return self.coeffs.get(2 * e, 0)
 
     def agrees_with(self, other: "QTruncSeries", s_order: int) -> bool:
         """Exact coefficient comparison for all exponents <= s_order."""
@@ -351,7 +354,7 @@ class QTruncSeries:
             raise ValueError("comparison order exceeds known precision")
         keys = set(self.coeffs) | set(other.coeffs)
         return all(
-            self.coeffs.get(k, _ZERO) == other.coeffs.get(k, _ZERO)
+            self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
             for k in keys
             if k <= s_order
         )
@@ -375,9 +378,7 @@ def f_series(n: int, precision: int) -> QTruncSeries:
     for j in range(1, n + 1):
         for k in range(j, precision + 1):
             coeffs[k] += coeffs[k - j]
-    return QTruncSeries(
-        {2 * k: Fraction(c) for k, c in enumerate(coeffs) if c}, 2 * precision
-    )
+    return QTruncSeries({2 * k: c for k, c in enumerate(coeffs) if c}, 2 * precision)
 
 
 def f_rational(n: int) -> QRat:

@@ -22,6 +22,16 @@ class NotADE(ValueError):
     """The tree is not one of the simply laced Dynkin shapes."""
 
 
+class CheckFailed(ArithmeticError):
+    """An identity the library checks on its own results did not hold."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Check a claimed identity; unlike assert, python -O keeps it."""
+    if not cond:
+        raise CheckFailed(msg)
+
+
 DimVector = tuple[int, ...]
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .coha import CohaElement
-from .polyblock import MPoly, Var, w
+from .polyblock import MPoly, Var, exact_coeff, w
 from .quiver import DimVector, Quiver, check_dim_vector, vec_add
 
 
@@ -41,20 +41,19 @@ def b_var(i: int, s: int) -> Var:
 
 LMono = tuple[tuple[Var, int], ...]  # sorted, exponents nonzero (may be negative)
 
-_ZERO = Fraction(0)
-
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in the residue alphabets."""
+    """Sparse Laurent polynomial in the residue alphabets, with int
+    coefficients (Fractions only where a rational coefficient is put in)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[LMono, Fraction] | None = None):
+    def __init__(self, terms: dict[LMono, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = exact_coeff(c)
         return cls({(): c}) if c else cls()
 
     @classmethod
@@ -64,18 +63,18 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exps: dict[Var, int], coeff=1) -> "LaurentPoly":
         key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({key: Fraction(coeff)})
+        return cls({key: exact_coeff(coeff)})
 
     @classmethod
     def from_mpoly(cls, p: MPoly, rename: dict[Var, Var]) -> "LaurentPoly":
-        out: dict[LMono, Fraction] = {}
+        out: dict[LMono, int | Fraction] = {}
         for m, c in p.terms.items():
             d: dict[Var, int] = {}
             for v, e in m:
                 nv = rename.get(v, v)
                 d[nv] = d.get(nv, 0) + e
             key = tuple(sorted(d.items()))
-            out[key] = out.get(key, _ZERO) + c
+            out[key] = out.get(key, 0) + c
         return cls(out)
 
     def is_zero(self) -> bool:
@@ -87,11 +86,11 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
+            out[m] = out.get(m, 0) + c
         return LaurentPoly(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[LMono, Fraction] = {}
+        out: dict[LMono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
             for m2, c2 in other.terms.items():
@@ -99,7 +98,7 @@ class LaurentPoly:
                 for v, e in m2:
                     d[v] = d.get(v, 0) + e
                 key = tuple(sorted((v, e) for v, e in d.items() if e))
-                out[key] = out.get(key, _ZERO) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(out)
 
     def max_total_degree(self) -> int:
@@ -323,7 +322,7 @@ def residue_mul(
 
     current = base
     for fac in factors:
-        out: dict[LMono, Fraction] = {}
+        out: dict[LMono, int | Fraction] = {}
         need = 0
         for mono, coeff in current.terms.items():
             exps = dict(mono)
@@ -337,7 +336,7 @@ def residue_mul(
                 if fac.raised is not None:
                     d[fac.raised] = d.get(fac.raised, 0) + k
                 key = tuple(sorted((vv, e) for vv, e in d.items() if e))
-                out[key] = out.get(key, _ZERO) + coeff
+                out[key] = out.get(key, 0) + coeff
         if need > budget:
             raise TruncationTooLow(
                 f"factor 1/(1 - {fac.raised}/{fac.lowered}) needs depth {need} > budget {budget}"

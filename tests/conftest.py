@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,15 @@ def load_quiver(name: str) -> Quiver:
     data = json.loads((QUIVER_DIR / f"{name}.json").read_text())
     q, _ = validate_dynkin(data["vertices"], data["edges"])
     return q
+
+
+def run_cli(*args, optimize=False):
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "dynkin_coha", *args],
+        capture_output=True,
+        text=True,
+    )
 
 
 @pytest.fixture

@@ -5,16 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_cli
+
 QUIVER_DIR = Path(__file__).resolve().parents[1] / "src/dynkin_coha/data/quivers"
-
-
-def run_cli(*args, optimize=False):
-    flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "dynkin_coha", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_qpoly_golden_output():
@@ -134,6 +127,40 @@ def test_planted_defect_fails_under_optimize():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("1 FAIL ")
     assert "factor image does not split off the Euler class" in result.stdout
+
+
+PLANTED_CLAIM_DEFECT = """
+import sys
+from dynkin_coha import modrep, qalg, verify
+from dynkin_coha.cli import load_quiver
+q = load_quiver("a2")[0]
+modrep.root_data(q)  # the Hom/Ext tables are built before the defect
+if sys.argv[1] == "codim":
+    honest = modrep.euler_form
+    modrep.euler_form = lambda q, a, b: 2 * honest(q, a, b)
+else:
+    honest = qalg.vec_add
+    qalg.vec_add = lambda a, b: honest(honest(a, b), (1, 0))
+result = verify.verify_codim_lemma(q, 2)
+print(sys.flags.optimize, result.status(), result.counterexample)
+"""
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("codim", "admissible order violated in codimension formulas"),
+    ("sign", "sign disagrees with the closed formula"),
+])
+def test_planted_claim_defect_fails_under_optimize(defect, message):
+    # the codimension formulas of modrep.codim and the normal-form sign of
+    # qalg.normal_form_exponent are checked by code that python -O keeps
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_CLAIM_DEFECT, defect],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1 FAIL ")
+    assert message in result.stdout
 
 
 def test_verify_reineke_pass_exit_zero():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynkin_coha.polyblock import MPoly, u, w
+from dynkin_coha.polyblock import MPoly, Var, u, w
 from dynkin_coha.polytext import PolyParseError, parse_poly
 
 
@@ -38,6 +39,24 @@ def test_render_parse_round_trip():
         if not poly.has_integer_coefficients():
             continue
         assert parse_poly(str(poly)) == poly
+
+
+VARIABLES = [Var(kind, i, j) for kind in "wuab" for i in (1, 2) for j in (1, 3)]
+
+int_polys = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(VARIABLES), st.integers(1, 4)), max_size=4)
+    .map(lambda pairs: tuple(sorted(dict(pairs).items()))),
+    st.integers(-10**6, 10**6).filter(bool),
+    max_size=6,
+).map(MPoly)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(int_polys)
+def test_render_parse_round_trip_property(p):
+    parsed = parse_poly(str(p))
+    assert parsed == p
+    assert all(type(c) is int for c in parsed.terms.values())
 
 
 @pytest.mark.parametrize(
