@@ -263,8 +263,7 @@ def cmd_residue_mul(args) -> int:
     q, _ = load_quiver(args.quiver)
     g1 = _parse_vector(args.gamma1, "--gamma1")
     g2 = _parse_vector(args.gamma2, "--gamma2")
-    g_mp = _parse_polynomial(args.g, "a")
-    g = residue.LaurentPoly.from_mpoly(g_mp, {})
+    g = _parse_polynomial(args.g, "a")
     try:
         f2 = coha.CohaElement(q, g2, _parse_polynomial(args.f2, "w"))
         f1 = residue.ddelta_transform(q, g1, residue.standard_grouping(g1), g)

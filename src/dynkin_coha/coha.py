@@ -22,11 +22,10 @@ unlike `assert`, is not removed by `python -O`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg, modrep
-from .polyblock import MPoly, Var, _adjacent, _split_adjacent, symmetrize_check, w, u
+from .polyblock import MPoly, Var, divided_difference, symmetrize_check, w, u
 from .quiver import (  # CheckFailed is re-exported as coha.CheckFailed
     CheckFailed,
     DimVector,
@@ -50,11 +49,13 @@ class CohaElement:
     def __post_init__(self):
         gamma = check_dim_vector(self.quiver, self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        for v in self.poly.variables():
+        for v, e in self.poly.exponents():
             if v.kind != "w" or not (1 <= v.i <= self.quiver.n) or not (
                 1 <= v.j <= gamma[v.i - 1]
             ):
                 raise ValueError(f"variable {v} is outside the block signature {gamma}")
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of {v}: an element is a polynomial")
         require(symmetrize_check(self.poly, "w", gamma), "element is not block-symmetric")
 
     def degree(self) -> int:
@@ -71,26 +72,6 @@ def _difference_product(pairs) -> MPoly:
     for a, b in pairs:
         total = total * (MPoly.var(a) - MPoly.var(b))
     return total
-
-
-def _divided_difference(p: MPoly, a: Var, b: Var) -> MPoly:
-    """(p - s p) / (a - b), where s swaps the adjacent slots a = w[i,j] and
-    b = w[i,j+1].
-
-    Monomial by monomial: (a^h b^l - a^l b^h) / (a - b) is the sum of
-    a^(h-1-t) b^(l+t) over t < h - l, and equal exponents drop out.
-    """
-    out: dict = {}
-    for mono, c in p.terms.items():
-        head, h, l, tail = _split_adjacent(mono, a, b)
-        if h == l:
-            continue
-        if h < l:
-            h, l, c = l, h, -c
-        for t in range(h - l):
-            key = head + _adjacent(a, h - 1 - t, b, l + t) + tail
-            out[key] = out.get(key, 0) + c
-    return MPoly(out)
 
 
 def shuffle_mul(f1: CohaElement, f2: CohaElement) -> CohaElement:
@@ -120,7 +101,7 @@ def shuffle_mul(f1: CohaElement, f2: CohaElement) -> CohaElement:
         sign *= (-1) ** (k * (n - k))
         for r in range(k, 0, -1):
             for j in range(r, r + n - k):
-                total = _divided_difference(total, w(i, j), w(i, j + 1))
+                total = divided_difference(total, w(i, j), w(i, j + 1))
     if sign < 0:
         total = -total
 
@@ -217,7 +198,7 @@ def euler_class_from_weights(q: Quiver, m) -> MPoly:
             t, h = q.edges[e]
             row = []
             for (i, gr, gc) in glist:
-                entry = Fraction(0)
+                entry = 0
                 if i == h and gr == r:
                     entry += phi.maps[e][gc][c]
                 if i == t and gc == c:
@@ -294,13 +275,10 @@ def monomial_symmetric(vars_: list[Var], partition: tuple[int, ...]) -> MPoly:
     variables."""
     n = len(vars_)
     padded = tuple(partition) + (0,) * (n - len(partition))
-    out: dict = {}
-    for perm in set(permutations(padded)):
-        mono = tuple(
-            sorted((v, e) for v, e in zip(vars_, perm) if e)
-        )
-        out[mono] = 1
-    return MPoly(out)
+    return sum(
+        (MPoly.monomial(dict(zip(vars_, perm))) for perm in set(permutations(padded))),
+        MPoly.zero(),
+    )
 
 
 def partitions_at_most(k: int, parts: int):
@@ -425,7 +403,7 @@ def structure_rank_check(q: Quiver, gamma, degree_cap: int) -> list[StructureRow
         index = {key: idx for idx, key in enumerate(keys)}
         matrix = []
         for p in polys:
-            row = [Fraction(0)] * len(keys)
+            row = [0] * len(keys)
             for mono, coeff in p.terms.items():
                 row[index[_block_canonical_key(mono, gamma)]] = coeff
             matrix.append(row)

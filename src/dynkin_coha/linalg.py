@@ -39,9 +39,8 @@ def transpose(m: Matrix) -> Matrix:
 def _integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * scale) for f in fr])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
     return out
 
 

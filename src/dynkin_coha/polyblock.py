@@ -3,11 +3,14 @@
 A variable is a (kind, i, j) triple: kind "w" for universal Chern roots
 (vertex i, slot j), "u" for the restriction targets (root index i, copy j),
 and "a"/"b" for the ordered residue alphabets.  A monomial is a sorted tuple
-of (variable, positive exponent) pairs; a polynomial maps monomials to
-nonzero exact coefficients: plain ints, or Fractions where a rational
-coefficient is put in.  Every COHA class has integer coefficients, so that
-arithmetic stays in ints and never builds a Fraction.  The zero polynomial
-has no terms.
+of (variable, nonzero exponent) pairs; exponents of either sign are allowed,
+so the one class `MPoly` carries both the polynomials of the COHA and the
+Laurent polynomials of the residue form.  Only this module builds or slices
+these tuples; other modules just read their (variable, exponent) pairs.
+A polynomial maps monomials to nonzero exact coefficients: plain ints, or
+Fractions where a rational coefficient is put in.  Every COHA class has
+integer coefficients, so that arithmetic stays in ints and never builds a
+Fraction.  The zero polynomial has no terms.
 
 Rendering is canonical (degree-major, then lexicographic on monomials) so
 equal polynomials always print identically, e.g. ``w[1,1] - w[2,1]``.
@@ -46,8 +49,7 @@ Mono = tuple[tuple[Var, int], ...]
 
 def exact_coeff(c) -> int | Fraction:
     """An exact coefficient: an int when the value is integral, else a
-    Fraction.  The one place that decides the coefficient type of `MPoly`
-    and `residue.LaurentPoly`."""
+    Fraction.  The one place that decides the coefficient type of `MPoly`."""
     if type(c) is int:
         return c
     c = Fraction(c)
@@ -61,7 +63,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
         return m1
     d = dict(m1)
     for v, e in m2:
-        d[v] = d.get(v, 0) + e
+        e += d.get(v, 0)
+        if e:
+            d[v] = e
+        else:
+            del d[v]
     return tuple(sorted(d.items()))
 
 
@@ -111,12 +117,14 @@ class MPoly:
         return cls.const(1)
 
     @classmethod
+    def monomial(cls, exps: dict[Var, int], coeff=1) -> "MPoly":
+        """coeff * prod v^e over exps; exponents of either sign, zero ones
+        dropped."""
+        return cls({tuple(sorted((v, e) for v, e in exps.items() if e)): exact_coeff(coeff)})
+
+    @classmethod
     def var(cls, v: Var, exp: int = 1) -> "MPoly":
-        if exp < 0:
-            raise ValueError("negative exponent in a polynomial")
-        if exp == 0:
-            return cls.one()
-        return cls({((v, exp),): 1})
+        return cls({((v, exp),) if exp else (): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -177,6 +185,10 @@ class MPoly:
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
+    def exponents(self) -> set[tuple[Var, int]]:
+        """Every (variable, exponent) pair that occurs in some monomial."""
+        return set().union(*self.terms)
+
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 
@@ -185,26 +197,16 @@ class MPoly:
 
     def rename(self, mapping: dict[Var, Var]) -> "MPoly":
         """Substitute variables by variables (merging exponents on
-        collisions)."""
+        collisions; exponents that cancel drop out)."""
         out: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
             d: dict[Var, int] = {}
             for v, e in m:
                 nv = mapping.get(v, v)
                 d[nv] = d.get(nv, 0) + e
-            key = tuple(sorted(d.items()))
+            key = tuple(sorted((v, e) for v, e in d.items() if e))
             out[key] = out.get(key, 0) + c
         return MPoly(out)
-
-    def substitute(self, mapping: dict[Var, "MPoly"]) -> "MPoly":
-        """Substitute variables by polynomials."""
-        total = MPoly.zero()
-        for m, c in self.terms.items():
-            term = MPoly.const(c)
-            for v, e in m:
-                term = term * (mapping[v] ** e if v in mapping else MPoly.var(v, e))
-            total = total + term
-        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -234,6 +236,19 @@ class MPoly:
     __repr__ = __str__
 
 
+def coefficients_in(p: MPoly, v: Var) -> dict[int, MPoly]:
+    """p as a Laurent polynomial in v: each exponent of v that occurs, mapped
+    to its coefficient, a polynomial free of v."""
+    raw: dict[int, dict[Mono, int | Fraction]] = {}
+    for m, c in p.terms.items():
+        pos = bisect_left(m, (v,))
+        if pos < len(m) and m[pos][0] == v:
+            raw.setdefault(m[pos][1], {})[m[:pos] + m[pos + 1:]] = c
+        else:
+            raw.setdefault(0, {})[m] = c
+    return {e: MPoly(d) for e, d in raw.items()}
+
+
 def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
     """Exact quotient of p by (a - b); raises NotDivisible on a remainder.
 
@@ -245,35 +260,42 @@ def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
         raise ValueError("cannot divide by the zero difference")
     if p.is_zero():
         return MPoly.zero()
-    # split as a polynomial in a
-    raw: dict[int, dict[Mono, int | Fraction]] = {}
-    for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for v, k in m:
-            if v == a:
-                e = k
-            else:
-                rest.append((v, k))
-        d = raw.setdefault(e, {})
-        key = tuple(rest)
-        d[key] = d.get(key, 0) + c
-    by_exp = {e: MPoly(d) for e, d in raw.items()}
-    top = max(by_exp)
+    by_exp = coefficients_in(p, a)
+    low = min(by_exp)
     bpoly = MPoly.var(b)
     quotient_parts: dict[int, MPoly] = {}
     carry = MPoly.zero()
-    for e in range(top, 0, -1):
+    for e in range(max(by_exp), low, -1):
         coeff = by_exp.get(e, MPoly.zero()) + carry
         quotient_parts[e - 1] = coeff
         carry = coeff * bpoly
-    remainder = by_exp.get(0, MPoly.zero()) + carry
+    remainder = by_exp[low] + carry
     if not remainder.is_zero():
         raise NotDivisible(f"{a} - {b} does not divide the polynomial")
     total = MPoly.zero()
     for e, part in quotient_parts.items():
         total = total + part * MPoly.var(a, e)
     return total
+
+
+def divided_difference(p: MPoly, a: Var, b: Var) -> MPoly:
+    """(p - s p) / (a - b), where s swaps the adjacent slots a = (kind, i, j)
+    and b = (kind, i, j+1).
+
+    Monomial by monomial: (a^h b^l - a^l b^h) / (a - b) is the sum of
+    a^(h-1-t) b^(l+t) over t < h - l, and equal exponents drop out.
+    """
+    out: dict[Mono, int | Fraction] = {}
+    for mono, c in p.terms.items():
+        head, h, l, tail = _split_adjacent(mono, a, b)
+        if h == l:
+            continue
+        if h < l:
+            h, l, c = l, h, -c
+        for t in range(h - l):
+            key = head + _adjacent(a, h - 1 - t, b, l + t) + tail
+            out[key] = out.get(key, 0) + c
+    return MPoly(out)
 
 
 def symmetrize_check(p: MPoly, kind: str, sizes: Iterable[int]) -> bool:

@@ -18,12 +18,11 @@ guard: exceeding it raises rather than silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from .coha import CohaElement
-from .polyblock import MPoly, Var, exact_coeff, w
+from .polyblock import MPoly, Var, coefficients_in, w
 from .quiver import DimVector, Quiver, check_dim_vector, vec_add
 
 
@@ -39,86 +38,9 @@ def b_var(i: int, s: int) -> Var:
     return Var("b", i, s)
 
 
-LMono = tuple[tuple[Var, int], ...]  # sorted, exponents nonzero (may be negative)
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial in the residue alphabets, with int
-    coefficients (Fractions only where a rational coefficient is put in)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[LMono, int | Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def const(cls, c) -> "LaurentPoly":
-        c = exact_coeff(c)
-        return cls({(): c}) if c else cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls.const(1)
-
-    @classmethod
-    def monomial(cls, exps: dict[Var, int], coeff=1) -> "LaurentPoly":
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({key: exact_coeff(coeff)})
-
-    @classmethod
-    def from_mpoly(cls, p: MPoly, rename: dict[Var, Var]) -> "LaurentPoly":
-        out: dict[LMono, int | Fraction] = {}
-        for m, c in p.terms.items():
-            d: dict[Var, int] = {}
-            for v, e in m:
-                nv = rename.get(v, v)
-                d[nv] = d.get(nv, 0) + e
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, 0) + c
-        return cls(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[LMono, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                key = tuple(sorted((v, e) for v, e in d.items() if e))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def max_total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for m, c in sorted(self.terms.items()):
-            body = "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in m)
-            mag = abs(c)
-            text = str(mag) if not body else (body if mag == 1 else f"{mag}*{body}")
-            pieces.append((c < 0, text))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for neg, text in pieces[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
-
-    __repr__ = __str__
+# The residue alphabets live in the same ring as the COHA: `MPoly` carries
+# exponents of either sign, and `LaurentPoly` names that class.
+LaurentPoly = MPoly
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +136,7 @@ def standard_grouping(gamma1: DimVector, gamma2: DimVector | None = None) -> Gro
     return tuple(out)
 
 
-def ddelta_transform(q: Quiver, gamma, grouping: Grouping, p: LaurentPoly) -> CohaElement:
+def ddelta_transform(q: Quiver, gamma, grouping: Grouping, p: MPoly) -> CohaElement:
     """Monomial-by-monomial determinant transform, extended linearly."""
     gamma = check_dim_vector(q, gamma)
     for i in range(q.n):
@@ -247,12 +169,12 @@ def ddelta_transform(q: Quiver, gamma, grouping: Grouping, p: LaurentPoly) -> Co
 
 @dataclass(frozen=True)
 class _GeomFactor:
-    raised: Var | None
+    raised: Var
     lowered: Var
     floor: int  # exponents below this make every determinant row vanish
 
 
-def default_budget(q: Quiver, g: LaurentPoly, f2: CohaElement,
+def default_budget(q: Quiver, g: MPoly, f2: CohaElement,
                    gamma1: DimVector, gamma2: DimVector) -> int:
     gamma = vec_add(gamma1, gamma2)
     dim_v = sum(gamma[t - 1] * gamma[h - 1] for (t, h) in q.edges)
@@ -260,12 +182,12 @@ def default_budget(q: Quiver, g: LaurentPoly, f2: CohaElement,
     for i in range(1, q.n + 1):
         k_i = sum(gamma1[j - 1] for j in q.tail_set(i)) - gamma1[i - 1]
         k_total += abs(k_i)
-    return max(0, g.max_total_degree()) + max(0, f2.poly.degree()) + k_total + dim_v
+    return max(0, g.degree()) + max(0, f2.poly.degree()) + k_total + dim_v
 
 
 def residue_mul(
     q: Quiver,
-    g: LaurentPoly,
+    g: MPoly,
     f2: CohaElement,
     gamma1,
     gamma2,
@@ -286,20 +208,19 @@ def residue_mul(
     if budget is None:
         budget = default_budget(q, g, f2, gamma1, gamma2)
 
-    for v in {vv for mono in g.terms for vv, _ in mono}:
+    for v in g.variables():
         if v.kind != "a" or not (1 <= v.i <= q.n) or not (1 <= v.j <= gamma1[v.i - 1]):
             raise ValueError(f"preimage may only use a[i,s] with s <= gamma1(i), got {v}")
 
-    base = LaurentPoly.from_mpoly(
-        f2.poly, {w(i, j): b_var(i, j) for i in range(1, q.n + 1)
-                  for j in range(1, gamma2[i - 1] + 1)}
+    base = f2.poly.rename(
+        {w(i, j): b_var(i, j) for i in range(1, q.n + 1) for j in range(1, gamma2[i - 1] + 1)}
     )
     correction: dict[Var, int] = {}
     for i in range(1, q.n + 1):
         k_i = sum(gamma1[j - 1] for j in q.tail_set(i)) - gamma1[i - 1]
         for s in range(1, gamma2[i - 1] + 1):
             correction[b_var(i, s)] = k_i
-    base = g * base * LaurentPoly.monomial(correction)
+    base = g * base * MPoly.monomial(correction)
 
     # vanishing floors: variable at position p (1-based) in a block of size r
     # keeps its determinant row alive only while its exponent is >= p - r
@@ -322,26 +243,23 @@ def residue_mul(
 
     current = base
     for fac in factors:
-        out: dict[LMono, int | Fraction] = {}
+        out = MPoly.zero()
         need = 0
-        for mono, coeff in current.terms.items():
-            exps = dict(mono)
-            depth = exps.get(fac.lowered, 0) - fac.floor
+        for e, part in coefficients_in(current, fac.lowered).items():
+            depth = e - fac.floor
             if depth < 0:
                 continue  # row already dead; this variable is never raised again
             need = max(need, depth)
-            for k in range(depth + 1):
-                d = dict(exps)
-                d[fac.lowered] = d.get(fac.lowered, 0) - k
-                if fac.raised is not None:
-                    d[fac.raised] = d.get(fac.raised, 0) + k
-                key = tuple(sorted((vv, e) for vv, e in d.items() if e))
-                out[key] = out.get(key, 0) + coeff
+            series = sum(
+                (MPoly.monomial({fac.lowered: e - k, fac.raised: k}) for k in range(depth + 1)),
+                MPoly.zero(),
+            )
+            out = out + part * series
         if need > budget:
             raise TruncationTooLow(
                 f"factor 1/(1 - {fac.raised}/{fac.lowered}) needs depth {need} > budget {budget}"
             )
-        current = LaurentPoly(out)
+        current = out
 
     grouping = standard_grouping(gamma1, gamma2)
     return ddelta_transform(q, gamma, grouping, current)

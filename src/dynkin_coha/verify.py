@@ -210,7 +210,7 @@ def verify_residue(q: Quiver, trials: int, seed: int = 11) -> VerifyResult:
                 prev = e
                 if e:
                     exps[residue.a_var(i, s)] = e
-        g = residue.LaurentPoly.monomial(exps)
+        g = MPoly.monomial(exps)
         slots_poly = MPoly.one()
         if rng.random() < 0.5:
             i = rng.randint(1, q.n)

@@ -78,6 +78,13 @@ def test_unit_acts_trivially(a2):
     assert coha.shuffle_mul(unit, f).poly == f.poly
 
 
+def test_element_refuses_laurent_monomials(a2):
+    with pytest.raises(ValueError, match="negative exponent"):
+        coha.CohaElement(a2, (1, 0), MPoly.monomial({w(1, 1): -1}))
+    with pytest.raises(ValueError, match="outside the block signature"):
+        coha.CohaElement(a2, (1, 0), MPoly.var(w(2, 1)))
+
+
 def test_multi_mul_bracketings_agree(a2):
     factors = [coha.one(a2, (1, 0)), coha.one(a2, (0, 1)), coha.one(a2, (1, 1))]
     left = coha.shuffle_mul(coha.shuffle_mul(factors[0], factors[1]), factors[2])

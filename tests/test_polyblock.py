@@ -37,13 +37,6 @@ def test_rename_acts_on_every_monomial():
     assert q == MPoly.var(u(2, 1), 2) + MPoly.var(u(2, 1)) * MPoly.var(w(2, 1))
 
 
-def test_substitute_polynomial():
-    p = MPoly.var(w(1, 1), 2)
-    image = p.substitute({w(1, 1): MPoly.var(u(1, 1)) + MPoly.one()})
-    expected = (MPoly.var(u(1, 1)) + MPoly.one()) ** 2
-    assert image == expected
-
-
 def test_distributivity_randomized():
     rng = random.Random(13)
     vs = [w(1, 1), w(1, 2), w(2, 1)]
@@ -109,6 +102,27 @@ def test_exact_div_round_trips_and_refuses_non_multiples(p, pair):
     else:
         with pytest.raises(NotDivisible):
             exact_div_linear(p, a, b)
+
+
+laurent_monomials = st.tuples(*(st.integers(-3, 2) for _ in SLOTS)).filter(
+    lambda exps: min(exps) < 0
+).map(lambda exps: MPoly.monomial(dict(zip(SLOTS, exps))))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(polys, laurent_monomials, slot_pairs)
+def test_laurent_laws(p, m, pair):
+    inverse = MPoly.monomial({v: -e for v, e in m.exponents()})
+    assert m * inverse == MPoly.one()
+    assert (p * m) * inverse == p
+    assert 0 not in {e for _, e in (p * m).exponents()}
+    # a^-1 * b merges to the unit under b -> a
+    a, b = pair
+    merged = MPoly.monomial({a: -1, b: 1}).rename({b: a})
+    assert merged == MPoly.one() and merged.terms == {(): 1}
+    assert 0 not in {e for _, e in (p * m).rename({b: a}).exponents()}
+    laurent = p * m
+    assert exact_div_linear(laurent * (MPoly.var(a) - MPoly.var(b)), a, b) == laurent
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
