@@ -79,7 +79,7 @@ def _parse_vector(text: str, name: str) -> tuple[int, ...]:
 def _parse_polynomial(text: str, allowed: str) -> MPoly:
     try:
         return parse_poly(text, allowed_kinds=allowed)
-    except PolyParseError as exc:
+    except (PolyParseError, coha.CheckFailed) as exc:  # CheckFailed: exponent out of range
         raise InputError(f"polynomial: {exc}")
 
 
@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     except NoUnitCoordinate as exc:
         print(f"error: NoUnitCoordinate: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except coha.CheckFailed as exc:  # e.g. a product past the packed exponent range
+        print(f"error: CheckFailed: {exc}", file=sys.stderr)
+        return FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from . import linalg, modrep
-from .polyblock import MPoly, Var, divided_difference, symmetrize_check, w, u
+from .polyblock import MPoly, Var, coefficients_in, divided_difference, symmetrize_check, w, u
 from .quiver import (  # CheckFailed is re-exported as coha.CheckFailed
     CheckFailed,
     DimVector,
@@ -49,12 +49,13 @@ class CohaElement:
     def __post_init__(self):
         gamma = check_dim_vector(self.quiver, self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        for v, e in self.poly.exponents():
+        for v, negative in self.poly.variable_signs().items():
             if v.kind != "w" or not (1 <= v.i <= self.quiver.n) or not (
                 1 <= v.j <= gamma[v.i - 1]
             ):
                 raise ValueError(f"variable {v} is outside the block signature {gamma}")
-            if e < 0:
+            if negative:
+                e = min(coefficients_in(self.poly, v))
                 raise ValueError(f"negative exponent {e} of {v}: an element is a polynomial")
         require(symmetrize_check(self.poly, "w", gamma), "element is not block-symmetric")
 
@@ -317,11 +318,12 @@ def block_symmetric_dimension(gamma: DimVector, degree: int) -> int:
     return counts[degree]
 
 
-def _block_canonical_key(mono, gamma: DimVector):
-    """Orbit representative of a monomial under block permutations: the
-    sorted exponent multiset of every block."""
+def _block_canonical_key(pairs, gamma: DimVector):
+    """Orbit representative of a monomial, given by its (variable, exponent)
+    pairs, under block permutations: the sorted exponent multiset of every
+    block."""
     per_vertex: dict[int, list[int]] = {}
-    for v, e in mono:
+    for v, e in pairs:
         per_vertex.setdefault(v.i, []).append(e)
     return tuple(
         tuple(sorted(per_vertex.get(i, []), reverse=True))
@@ -398,14 +400,15 @@ def structure_rank_check(q: Quiver, gamma, degree_cap: int) -> list[StructureRow
     rows = []
     for k in range(degree_cap + 1):
         polys = products_by_degree[k]
-        keys = sorted({key for p in polys for key in
-                       (_block_canonical_key(mo, gamma) for mo in p.terms)})
+        keyed = [[(_block_canonical_key(pairs, gamma), coeff) for pairs, coeff in p.items()]
+                 for p in polys]
+        keys = sorted({key for terms in keyed for key, _ in terms})
         index = {key: idx for idx, key in enumerate(keys)}
         matrix = []
-        for p in polys:
+        for terms in keyed:
             row = [0] * len(keys)
-            for mono, coeff in p.terms.items():
-                row[index[_block_canonical_key(mono, gamma)]] = coeff
+            for key, coeff in terms:
+                row[index[key]] = coeff
             matrix.append(row)
         rk = linalg.rank(matrix) if matrix else 0
         rows.append(

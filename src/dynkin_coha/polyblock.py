@@ -2,25 +2,50 @@
 
 A variable is a (kind, i, j) triple: kind "w" for universal Chern roots
 (vertex i, slot j), "u" for the restriction targets (root index i, copy j),
-and "a"/"b" for the ordered residue alphabets.  A monomial is a sorted tuple
-of (variable, nonzero exponent) pairs; exponents of either sign are allowed,
-so the one class `MPoly` carries both the polynomials of the COHA and the
-Laurent polynomials of the residue form.  Only this module builds or slices
-these tuples; other modules just read their (variable, exponent) pairs.
-A polynomial maps monomials to nonzero exact coefficients: plain ints, or
-Fractions where a rational coefficient is put in.  Every COHA class has
-integer coefficients, so that arithmetic stays in ints and never builds a
-Fraction.  The zero polynomial has no terms.
+and "a"/"b" for the ordered residue alphabets.  Exponents of either sign are
+allowed, so the one class `MPoly` carries both the polynomials of the COHA
+and the Laurent polynomials of the residue form.  A polynomial maps monomials
+to nonzero exact coefficients: plain ints, or Fractions where a rational
+coefficient is put in.  Every COHA class has integer coefficients, so that
+arithmetic stays in ints and never builds a Fraction.  The zero polynomial
+has no terms.
 
-Rendering is canonical (degree-major, then lexicographic on monomials) so
-equal polynomials always print identically, e.g. ``w[1,1] - w[2,1]``.
+Monomial layout: packed exponent vectors (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A monomial is one Python int.  Each variable gets a bit field of
+FIELD_BITS bits the first time it is seen, from a process-wide interning
+table; field 0 is reserved for the total degree.  unit(v) sets the field of
+v and field 0 to 1, and the monomial prod v^e is the int sum e * unit(v).
+Every field holds a balanced digit (a signed value in
+[-2^(FIELD_BITS-1), 2^(FIELD_BITS-1))), so one encoding serves exponents of
+both signs.  Hence:
+
+- the product of two monomials is the sum of their ints;
+- the total degree is the digit of field 0;
+- moving the exponent of a onto b adds a multiple of unit(b) - unit(a), so a
+  divided difference steps by unit(b) - unit(a), and a swap of two slots, a
+  rename or a split by one variable read one field with a shift and a mask.
+
+A digit that left its field would carry into the next one and corrupt a
+result without any error.  So every MPoly carries `bound`, an upper bound on
+sum |e| over each of its monomials: `+` and `rename` keep the larger bound,
+`*` adds the bounds, and a divided difference adds 1.  A bound above
+MAX_EXPONENT is refused with `require` (a CheckFailed, which python -O
+keeps) before any term is built.
+
+Only this module knows the layout.  Other modules read (variable, exponent)
+pairs through `MPoly.items()` and `MPoly.variable_signs()`.  Rendering
+decodes every monomial and is canonical (degree-major, then lexicographic on
+the sorted (variable, exponent) pairs), so it does not depend on the order in
+which variables were interned, e.g. ``w[1,1] - w[2,1]``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+from .quiver import require
 
 
 class NotDivisible(ArithmeticError):
@@ -44,7 +69,79 @@ def u(i: int, j: int) -> Var:
     return Var("u", i, j)
 
 
-Mono = tuple[tuple[Var, int], ...]
+FIELD_BITS = 16
+_HALF = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+# The largest sum |e| a monomial may reach; a larger bound raises CheckFailed.
+MAX_EXPONENT = _HALF - 1
+
+
+class _Field(NamedTuple):
+    shift: int  # bit offset of the variable's field
+    bias: int  # _HALF in this field and in every field below it
+    unit: int  # 1 in this field and in the total-degree field
+
+
+_VARS: list[Var] = []  # _VARS[k] owns field k + 1
+_FIELDS: dict[Var, _Field] = {}
+_all_bias = _HALF  # _HALF in every field in use; also the mask of their sign bits
+_BY_RANK: list[Var] = []  # the interned variables, sorted
+_RANK: list[int] = []  # _RANK[k]: the place of _VARS[k] in _BY_RANK
+
+
+def _field(v: Var) -> _Field:
+    """The field of v, allocated on first sight."""
+    f = _FIELDS.get(v)
+    if f is None:
+        global _all_bias
+        v = Var(*v)
+        shift = FIELD_BITS * (len(_VARS) + 1)
+        _all_bias |= _HALF << shift
+        f = _FIELDS[v] = _Field(shift, _all_bias, (1 << shift) | 1)
+        _VARS.append(v)
+        _BY_RANK[:] = sorted(_VARS)
+        rank = {x: r for r, x in enumerate(_BY_RANK)}
+        _RANK[:] = [rank[x] for x in _VARS]
+    return f
+
+
+def _checked(bound: int) -> int:
+    require(
+        bound <= MAX_EXPONENT,
+        f"monomials may reach exponent sum {bound}; a packed field holds at most {MAX_EXPONENT}",
+    )
+    return bound
+
+
+def _encode(pairs: Iterable[tuple[Var, int]]) -> tuple[int, int]:
+    """(packed monomial, sum |e|) of (variable, exponent) pairs."""
+    mono = size = 0
+    for v, e in pairs:
+        mono += e * _field(v).unit
+        size += abs(e)
+    return mono, size
+
+
+def _ranked(mono: int) -> list[tuple[int, int]]:
+    """(rank of the variable, exponent) for every nonzero field of a packed
+    monomial, in variable order; int pairs sort faster than Var pairs."""
+    pairs = []
+    d = ((mono + _HALF) & _MASK) - _HALF
+    mono = (mono - d) >> FIELD_BITS  # drop the total degree
+    for r in _RANK:
+        if not mono:
+            break
+        d = ((mono + _HALF) & _MASK) - _HALF
+        if d:
+            pairs.append((r, d))
+        mono = (mono - d) >> FIELD_BITS
+    pairs.sort()
+    return pairs
+
+
+def _decode(mono: int) -> tuple[tuple[Var, int], ...]:
+    """The sorted (variable, nonzero exponent) pairs of a packed monomial."""
+    return tuple([(_BY_RANK[r], e) for r, e in _ranked(mono)])
 
 
 def exact_coeff(c) -> int | Fraction:
@@ -56,52 +153,19 @@ def exact_coeff(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        e += d.get(v, 0)
-        if e:
-            d[v] = e
-        else:
-            del d[v]
-    return tuple(sorted(d.items()))
-
-
-def _split_adjacent(m: Mono, a: Var, b: Var) -> tuple[Mono, int, int, Mono]:
-    """(head, exponent of a, exponent of b, tail) of a monomial, for the
-    adjacent slots a = (kind, i, j) and b = (kind, i, j+1).
-
-    No variable sorts between a and b, so head + _adjacent(a, ea, b, eb) +
-    tail is sorted for any exponents ea, eb.
-    """
-    end = pos = bisect_left(m, (a,))
-    ea = eb = 0
-    if end < len(m) and m[end][0] == a:
-        ea = m[end][1]
-        end += 1
-    if end < len(m) and m[end][0] == b:
-        eb = m[end][1]
-        end += 1
-    return m[:pos], ea, eb, m[end:]
-
-
-def _adjacent(a: Var, ea: int, b: Var, eb: int) -> Mono:
-    return (((a, ea),) if ea else ()) + (((b, eb),) if eb else ())
-
-
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 class MPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "bound")
 
-    def __init__(self, terms: dict[Mono, int | Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[int, int | Fraction] | None = None, bound: int = 0):
+        """terms maps packed monomials to coefficients (zero ones are
+        dropped) and is kept, not copied; bound is an upper bound on sum |e|
+        over each monomial."""
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        self.terms = terms
+        self.bound = bound if terms else 0
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -110,7 +174,7 @@ class MPoly:
     @classmethod
     def const(cls, c) -> "MPoly":
         c = exact_coeff(c)
-        return cls({(): c}) if c else cls()
+        return cls({0: c}) if c else cls()
 
     @classmethod
     def one(cls) -> "MPoly":
@@ -120,11 +184,12 @@ class MPoly:
     def monomial(cls, exps: dict[Var, int], coeff=1) -> "MPoly":
         """coeff * prod v^e over exps; exponents of either sign, zero ones
         dropped."""
-        return cls({tuple(sorted((v, e) for v, e in exps.items() if e)): exact_coeff(coeff)})
+        mono, size = _encode(exps.items())
+        return cls({mono: exact_coeff(coeff)}, _checked(size))
 
     @classmethod
     def var(cls, v: Var, exp: int = 1) -> "MPoly":
-        return cls({((v, exp),) if exp else (): 1})
+        return cls({exp * _field(v).unit: 1}, _checked(abs(exp)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,12 +202,13 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return MPoly(out)
+            out[m] = get(m, 0) + c
+        return MPoly(out, max(self.bound, other.bound))
 
     def __neg__(self) -> "MPoly":
-        return MPoly({m: -c for m, c in self.terms.items()})
+        return MPoly({m: -c for m, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -150,74 +216,110 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             k = exact_coeff(other)
-            return MPoly({m: k * c for m, c in self.terms.items()}) if k else MPoly()
-        out: dict[Mono, int | Fraction] = {}
+            return MPoly({m: k * c for m, c in self.terms.items()}, self.bound) if k else MPoly()
+        bound = _checked(self.bound + other.bound)
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return MPoly(out)
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return MPoly(out, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        _checked(n * self.bound)
         result = MPoly.one()
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        return max((_mono_degree(m) for m in self.terms), default=-1)
+        return max((((m + _HALF) & _MASK) - _HALF for m in self.terms), default=-1)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if inhomogeneous or
         zero."""
-        degs = {_mono_degree(m) for m in self.terms}
+        degs = {((m + _HALF) & _MASK) - _HALF for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def exponents(self) -> set[tuple[Var, int]]:
-        """Every (variable, exponent) pair that occurs in some monomial."""
-        return set().union(*self.terms)
+    def items(self) -> Iterator[tuple[tuple[tuple[Var, int], ...], int | Fraction]]:
+        """(sorted (variable, exponent) pairs, coefficient) for every term,
+        in no particular order."""
+        return ((_decode(m), c) for m, c in self.terms.items())
+
+    def variable_signs(self) -> dict[Var, bool]:
+        """Every variable that occurs, mapped to whether some monomial holds
+        a negative power of it; one pass over the terms."""
+        bias = _all_bias
+        occupied = negative = 0
+        for m in self.terms:
+            x = m + bias  # every field now holds its digit + _HALF, no borrows
+            occupied |= x ^ bias
+            negative |= bias & ~x
+        out = {}
+        occupied >>= FIELD_BITS
+        negative >>= FIELD_BITS
+        for v in _VARS:
+            if not occupied:
+                break
+            if occupied & _MASK:
+                out[v] = bool(negative & _HALF)
+            occupied >>= FIELD_BITS
+            negative >>= FIELD_BITS
+        return out
 
     def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m}
+        return set(self.variable_signs())
 
-    def coefficient(self, mono: Mono) -> int | Fraction:
-        return self.terms.get(mono, 0)
+    def coefficient(self, pairs: Iterable[tuple[Var, int]]) -> int | Fraction:
+        """The coefficient of the monomial with these (variable, exponent)
+        pairs."""
+        return self.terms.get(_encode(pairs)[0], 0)
 
     def rename(self, mapping: dict[Var, Var]) -> "MPoly":
         """Substitute variables by variables (merging exponents on
         collisions; exponents that cancel drop out)."""
-        out: dict[Mono, int | Fraction] = {}
+        moves = []
+        for a, b in mapping.items():
+            fa = _FIELDS.get(a)
+            if fa is not None and a != b:  # a variable never seen occurs nowhere
+                moves.append((fa.shift, fa.bias, _field(b).unit - fa.unit))
+        out: dict[int, int | Fraction] = {}
+        get = out.get
         for m, c in self.terms.items():
-            d: dict[Var, int] = {}
-            for v, e in m:
-                nv = mapping.get(v, v)
-                d[nv] = d.get(nv, 0) + e
-            key = tuple(sorted((v, e) for v, e in d.items() if e))
-            out[key] = out.get(key, 0) + c
-        return MPoly(out)
+            key = m
+            for shift, bias, delta in moves:  # every digit is read from m itself
+                e = (((m + bias) >> shift) & _MASK) - _HALF
+                if e:
+                    key += e * delta
+            out[key] = get(key, 0) + c
+        return MPoly(out, self.bound)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = [str(v) for v in _BY_RANK]
         ordered = sorted(
-            self.terms.items(), key=lambda item: (-_mono_degree(item[0]), item[0])
+            (-(((m + _HALF) & _MASK) - _HALF), _ranked(m), c) for m, c in self.terms.items()
         )
         pieces = []
-        for m, c in ordered:
+        for _, pairs, c in ordered:
             factors = [
-                str(v) if e == 1 else f"{v}^{e}" for v, e in m
+                names[r] if e == 1 else f"{names[r]}^{e}" for r, e in pairs
             ]
             body = "*".join(factors)
             mag = abs(c)
@@ -239,14 +341,15 @@ class MPoly:
 def coefficients_in(p: MPoly, v: Var) -> dict[int, MPoly]:
     """p as a Laurent polynomial in v: each exponent of v that occurs, mapped
     to its coefficient, a polynomial free of v."""
-    raw: dict[int, dict[Mono, int | Fraction]] = {}
+    shift, bias, unit = _field(v)
+    raw: dict[int, dict[int, int | Fraction]] = {}
     for m, c in p.terms.items():
-        pos = bisect_left(m, (v,))
-        if pos < len(m) and m[pos][0] == v:
-            raw.setdefault(m[pos][1], {})[m[:pos] + m[pos + 1:]] = c
-        else:
-            raw.setdefault(0, {})[m] = c
-    return {e: MPoly(d) for e, d in raw.items()}
+        e = (((m + bias) >> shift) & _MASK) - _HALF
+        part = raw.get(e)
+        if part is None:
+            part = raw[e] = {}
+        part[m - e * unit] = c
+    return {e: MPoly(d, p.bound) for e, d in raw.items()}
 
 
 def exact_div_linear(p: MPoly, a: Var, b: Var) -> MPoly:
@@ -285,28 +388,44 @@ def divided_difference(p: MPoly, a: Var, b: Var) -> MPoly:
     Monomial by monomial: (a^h b^l - a^l b^h) / (a - b) is the sum of
     a^(h-1-t) b^(l+t) over t < h - l, and equal exponents drop out.
     """
-    out: dict[Mono, int | Fraction] = {}
-    for mono, c in p.terms.items():
-        head, h, l, tail = _split_adjacent(mono, a, b)
+    bound = _checked(p.bound + 1)
+    shift_a, bias_a, unit_a = _field(a)
+    shift_b, bias_b, unit_b = _field(b)
+    step = unit_b - unit_a
+    out: dict[int, int | Fraction] = {}
+    get = out.get
+    for m, c in p.terms.items():
+        h = (((m + bias_a) >> shift_a) & _MASK) - _HALF
+        l = (((m + bias_b) >> shift_b) & _MASK) - _HALF
         if h == l:
             continue
-        if h < l:
+        if h > l:
+            key = m - unit_a  # a^(h-1) b^l
+        else:  # m is a^l b^h: start from a^(h-1) b^l with the opposite sign
             h, l, c = l, h, -c
-        for t in range(h - l):
-            key = head + _adjacent(a, h - 1 - t, b, l + t) + tail
-            out[key] = out.get(key, 0) + c
-    return MPoly(out)
+            key = m + (h - 1 - l) * unit_a - (h - l) * unit_b
+        for _ in range(h - l):
+            out[key] = get(key, 0) + c
+            key += step
+    return MPoly(out, bound)
 
 
 def symmetrize_check(p: MPoly, kind: str, sizes: Iterable[int]) -> bool:
     """True iff p is invariant under every adjacent swap of same-block
     variables (kind, i, j) <-> (kind, i, j+1), blocks sized by sizes."""
     terms = p.terms
+    get = terms.get
     for i, size in enumerate(sizes, start=1):
         for j in range(1, size):
             a, b = Var(kind, i, j), Var(kind, i, j + 1)
+            if a not in _FIELDS and b not in _FIELDS:
+                continue  # neither occurs anywhere
+            shift_a, bias_a, unit_a = _field(a)
+            shift_b, bias_b, unit_b = _field(b)
+            swap = unit_a - unit_b
             for m, c in terms.items():
-                head, ea, eb, tail = _split_adjacent(m, a, b)
-                if ea != eb and terms.get(head + _adjacent(a, eb, b, ea) + tail) != c:
+                ea = (((m + bias_a) >> shift_a) & _MASK) - _HALF
+                eb = (((m + bias_b) >> shift_b) & _MASK) - _HALF
+                if ea != eb and get(m + (eb - ea) * swap) != c:
                     return False
     return True

@@ -327,11 +327,15 @@ class QTruncSeries:
             other.prec + self.valuation(),
         )
         out: dict[int, int | Fraction] = {}
+        get = out.get
+        right = sorted(other.coeffs.items())
         for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
+            limit = prec - k1
+            for k2, v2 in right:  # ascending, so the window closes for good
+                if k2 > limit:
+                    break
                 k = k1 + k2
-                if k <= prec:
-                    out[k] = out.get(k, 0) + v1 * v2
+                out[k] = get(k, 0) + v1 * v2
         return QTruncSeries(out, prec)
 
     def shift_q(self, e: int) -> "QTruncSeries":

@@ -87,8 +87,13 @@ def c_series(q: Quiver, gamma, i: int, max_order: int) -> list[MPoly]:
 
 def delta_schur(q: Quiver, gamma, i: int, lam) -> MPoly:
     """Determinant det(c_{i, lam_u + v - u}) over u, v = 1..r."""
-    gamma = check_dim_vector(q, gamma)
-    lam = tuple(int(x) for x in lam)
+    return _delta_schur(q, check_dim_vector(q, gamma), i, tuple(int(x) for x in lam))
+
+
+@lru_cache(maxsize=None)
+def _delta_schur(q: Quiver, gamma: DimVector, i: int, lam: tuple[int, ...]) -> MPoly:
+    """delta_schur on a checked weight and an int tuple, memoized: the
+    transform meets the same (vertex, partition) in many monomials."""
     r = len(lam)
     if r == 0:
         return MPoly.one()
@@ -144,10 +149,10 @@ def ddelta_transform(q: Quiver, gamma, grouping: Grouping, p: MPoly) -> CohaElem
             raise ValueError("grouping sizes must match the weight")
     positions = {v: (i + 1, pos) for i, seq in enumerate(grouping) for pos, v in enumerate(seq)}
     total = MPoly.zero()
-    for mono, coeff in sorted(p.terms.items()):
+    for pairs, coeff in p.items():
         lam_per_vertex = [[0] * gamma[i] for i in range(q.n)]
         ok = True
-        for v, e in mono:
+        for v, e in pairs:
             if v not in positions:
                 raise ValueError(f"variable {v} not covered by the grouping")
             i, pos = positions[v]
@@ -159,7 +164,7 @@ def ddelta_transform(q: Quiver, gamma, grouping: Grouping, p: MPoly) -> CohaElem
             if any(lam[pz] < (pz + 1) - r for pz in range(r)):
                 ok = False
                 break
-            factor = factor * delta_schur(q, gamma, i, lam)
+            factor = factor * _delta_schur(q, gamma, i, lam)
             if factor.is_zero():
                 break
         if ok and not factor.is_zero():

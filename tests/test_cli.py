@@ -188,6 +188,25 @@ def test_verify_structure_e8_exits_input_error():
     assert "NoUnitCoordinate" in result.stderr
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_exponent_range_is_refused_without_a_traceback(optimize):
+    # an exponent past the packed field range is an input error
+    too_large = run_cli(
+        "residue-mul", "--quiver", "a2", "--gamma1", "1,0", "--gamma2", "0,1",
+        "--g", "a[1,1]^40000", "--f2", "1", optimize=optimize,
+    )
+    assert too_large.returncode == 2
+    assert too_large.stderr.startswith("error: polynomial: monomials may reach exponent sum 40000")
+    # an input that fits, whose product does not, fails its range check
+    product_too_large = run_cli(
+        "mul", "--quiver", "a2", "--gamma1", "1,0", "--gamma2", "0,1",
+        "--f1", "w[1,1]^32767", "--f2", "w[2,1]", optimize=optimize,
+    )
+    assert product_too_large.returncode == 1
+    assert product_too_large.stderr.startswith("error: CheckFailed: monomials may reach")
+    assert product_too_large.stdout == ""
+
+
 def test_input_errors_exit_two(tmp_path):
     missing = run_cli("roots", "--quiver", str(tmp_path / "nope.json"))
     assert missing.returncode == 2

@@ -48,7 +48,9 @@ int_polys = st.dictionaries(
     .map(lambda pairs: tuple(sorted(dict(pairs).items()))),
     st.integers(-10**6, 10**6).filter(bool),
     max_size=6,
-).map(MPoly)
+).map(lambda d: sum(
+    (MPoly.monomial(dict(pairs), c) for pairs, c in d.items()), MPoly.zero()
+))
 
 
 @settings(deadline=None, max_examples=80, derandomize=True)

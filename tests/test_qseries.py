@@ -154,3 +154,30 @@ def test_laurent_expansion_with_negative_valuation():
     assert s.coeffs[-2] == 1
     assert s.coeffs[0] == 1
     assert s.coeffs[6] == 1
+
+
+def _unwindowed_product(a, b):
+    """Every pair of stored terms, multiplied before the window is applied."""
+    prec = min(a.prec + b.valuation(), b.prec + a.valuation())
+    out = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return QTruncSeries(out, prec)
+
+
+def test_windowed_product_matches_unwindowed():
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b = (
+            QTruncSeries(
+                {rng.randint(-6, 14): rng.choice([-3, -1, 1, 2, Fraction(1, 3)])
+                 for _ in range(rng.randint(0, 9))},
+                rng.randint(-4, 16),
+            )
+            for _ in range(2)
+        )
+        product_ = a * b
+        reference = _unwindowed_product(a, b)
+        assert product_.prec == reference.prec
+        assert product_.coeffs == reference.coeffs

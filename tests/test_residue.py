@@ -141,5 +141,5 @@ def test_laurent_poly_arithmetic():
     q_ = LaurentPoly.monomial({a_var(1, 1): 2})
     assert (p * q_) == LaurentPoly.one()
     s = p + p
-    only = list(s.terms.items())
+    only = list(s.items())
     assert only == [(((a_var(1, 1), -2),), 2)]
